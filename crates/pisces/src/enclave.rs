@@ -49,6 +49,9 @@ pub struct Enclave {
     /// Human-readable name.
     pub name: String,
     state: Mutex<EnclaveState>,
+    /// Set, under the state mutex, by the one caller that wins
+    /// [`Enclave::claim_teardown`].
+    teardown_claimed: AtomicBool,
     resources: RwLock<ResourceSpec>,
     /// Region holding boot structures and the control channel (owned by
     /// the framework, not part of the co-kernel's general-purpose memory).
@@ -74,6 +77,7 @@ impl Enclave {
             id,
             name,
             state: Mutex::new(EnclaveState::Created),
+            teardown_claimed: AtomicBool::new(false),
             resources: RwLock::new(resources),
             mgmt_region,
             ctrl: Mutex::new(None),
@@ -114,6 +118,17 @@ impl Enclave {
     pub fn set_state(&self, next: EnclaveState) -> EnclaveState {
         let mut s = self.state.lock();
         std::mem::replace(&mut *s, next)
+    }
+
+    /// Claim the right to tear the enclave down. Exactly one caller ever
+    /// gets `true`, and only while the state is not yet terminal; it then
+    /// owns the teardown and publishes the terminal state once the
+    /// resources are gone. Every other caller — a racing fault report, a
+    /// second teardown — gets `false` and must leave the resources alone.
+    pub fn claim_teardown(&self) -> bool {
+        let s = self.state.lock();
+        !matches!(*s, EnclaveState::Terminated | EnclaveState::Failed(_))
+            && !self.teardown_claimed.swap(true, Ordering::AcqRel)
     }
 
     /// Read access to the resource partition.

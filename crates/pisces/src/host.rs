@@ -449,40 +449,40 @@ impl PiscesHost {
         enclave.with_resources_mut(|r| *r = ResourceSpec::new());
     }
 
-    /// Orderly teardown: hooks, reclaim, `Terminated`.
-    pub fn teardown(&self, enclave: &Enclave) -> PiscesResult<()> {
-        match enclave.state() {
-            EnclaveState::Terminated | EnclaveState::Failed(_) => {
-                return Err(PiscesError::BadState {
-                    enclave: enclave.id.0,
-                    op: "teardown",
-                })
-            }
-            _ => {}
+    /// Run the teardown hooks, reclaim, then publish `terminal` — if this
+    /// caller wins the enclave's teardown claim. Returns whether it did.
+    fn claim_and_reclaim(&self, enclave: &Enclave, terminal: EnclaveState) -> bool {
+        if !enclave.claim_teardown() {
+            return false;
         }
         for h in self.hooks.read().iter() {
             h.on_teardown(enclave);
         }
         self.reclaim(enclave);
-        enclave.set_state(EnclaveState::Terminated);
-        Ok(())
+        enclave.set_state(terminal);
+        true
+    }
+
+    /// Orderly teardown: hooks, reclaim, `Terminated`. Fails if the
+    /// enclave is already dead or being torn down by another caller.
+    pub fn teardown(&self, enclave: &Enclave) -> PiscesResult<()> {
+        if self.claim_and_reclaim(enclave, EnclaveState::Terminated) {
+            Ok(())
+        } else {
+            Err(PiscesError::BadState {
+                enclave: enclave.id.0,
+                op: "teardown",
+            })
+        }
     }
 
     /// Fault path: the hypervisor (or host policy) killed the enclave.
     /// Resources are reclaimed, the state records the reason, and the rest
     /// of the node keeps running — the isolation property Covirt provides.
+    /// Racing reports (the dying guest core and a remediation policy) are
+    /// harmless: exactly one of them reclaims.
     pub fn report_fault(&self, enclave: &Enclave, reason: &str) -> PiscesResult<()> {
-        if matches!(
-            enclave.state(),
-            EnclaveState::Terminated | EnclaveState::Failed(_)
-        ) {
-            return Ok(()); // already dead; double reports are harmless
-        }
-        for h in self.hooks.read().iter() {
-            h.on_teardown(enclave);
-        }
-        self.reclaim(enclave);
-        enclave.set_state(EnclaveState::Failed(reason.to_owned()));
+        self.claim_and_reclaim(enclave, EnclaveState::Failed(reason.to_owned()));
         Ok(())
     }
 
@@ -702,6 +702,70 @@ mod tests {
         // Other enclaves can be created afterwards — the node survived.
         let e2 = h.create_enclave("e1", &small_req()).unwrap();
         assert_eq!(e2.state(), EnclaveState::Loaded);
+    }
+
+    /// Race `a` against `b` on one launched enclave, many times over, and
+    /// check that exactly one of them tore it down and nothing leaked.
+    fn race_teardown_paths(
+        a: impl Fn(&PiscesHost, &Enclave) + Sync,
+        b: impl Fn(&PiscesHost, &Enclave) + Sync,
+    ) {
+        #[derive(Default)]
+        struct CountTeardowns(std::sync::atomic::AtomicU64);
+        impl EnclaveHooks for CountTeardowns {
+            fn on_teardown(&self, _e: &Enclave) {
+                self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
+        }
+        let h = host();
+        let count = Arc::new(CountTeardowns::default());
+        h.register_hooks(Arc::clone(&count) as Arc<dyn EnclaveHooks>);
+        let usage_before = h.node().mem.zone_usage(ZoneId(0)).unwrap();
+        let vectors_before = h.free_vector_count();
+        let cores_before = h.assigned_cores();
+        const ROUNDS: u64 = 50;
+        for _ in 0..ROUNDS {
+            let e = h.create_enclave("e0", &small_req()).unwrap();
+            h.launch(&e).unwrap();
+            h.add_memory(&e, ZoneId(0), PAGE_SIZE_2M).unwrap();
+            let start = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    start.wait();
+                    a(&h, &e);
+                });
+                s.spawn(|| {
+                    start.wait();
+                    b(&h, &e);
+                });
+            });
+            assert!(!e.state().is_live(), "enclave survived: {:?}", e.state());
+            assert_eq!(h.node().mem.zone_usage(ZoneId(0)).unwrap(), usage_before);
+            assert_eq!(h.free_vector_count(), vectors_before);
+            assert_eq!(h.assigned_cores(), cores_before);
+        }
+        assert_eq!(
+            count.0.load(std::sync::atomic::Ordering::Relaxed),
+            ROUNDS,
+            "exactly one teardown per enclave"
+        );
+    }
+
+    #[test]
+    fn racing_fault_reports_reclaim_once() {
+        let fault = |h: &PiscesHost, e: &Enclave| h.report_fault(e, "ept violation").unwrap();
+        race_teardown_paths(fault, fault);
+    }
+
+    #[test]
+    fn teardown_racing_fault_report_reclaims_once() {
+        race_teardown_paths(
+            |h, e| {
+                // Loses with BadState when the fault report got there first.
+                let _ = h.teardown(e);
+            },
+            |h, e| h.report_fault(e, "remediation: quarantine").unwrap(),
+        );
     }
 
     #[test]

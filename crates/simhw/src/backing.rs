@@ -2,14 +2,45 @@
 //!
 //! Simulated "physical memory" that is actually touched (kernel images, page
 //! tables, boot parameter structures, workload arrays, shared segments) is
-//! backed by real host allocations. A [`Backing`] behaves like RAM: multiple
+//! backed by real host memory. A [`Backing`] behaves like RAM: multiple
 //! simulated cores may read and write it concurrently, and — exactly as on
 //! real hardware — racing unsynchronized accesses yield unspecified *values*
 //! but never corrupt the simulator itself (accesses are always whole aligned
 //! machine words or byte copies into freshly owned buffers).
+//!
+//! Every backing is its own anonymous private host mapping. The host kernel
+//! zero-fills each page on first touch (demand-zero, as Linux does for any
+//! fresh anonymous memory), so a backing starts all-zero without the
+//! simulator ever writing the zeros: populating a 2 MiB grant costs one
+//! `mmap` call, not a 2 MiB memset, and untouched pages cost nothing.
 
-use std::alloc::{alloc_zeroed, dealloc, Layout};
+use std::ffi::{c_int, c_long, c_void};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+// `std` already links the platform C library; these are its POSIX calls.
+extern "C" {
+    fn mmap(
+        addr: *mut c_void,
+        len: usize,
+        prot: c_int,
+        flags: c_int,
+        fd: c_int,
+        offset: c_long,
+    ) -> *mut c_void;
+    fn munmap(addr: *mut c_void, len: usize) -> c_int;
+}
+
+const PROT_READ: c_int = 0x1;
+const PROT_WRITE: c_int = 0x2;
+const MAP_PRIVATE: c_int = 0x02;
+#[cfg(target_os = "linux")]
+const MAP_ANONYMOUS: c_int = 0x20;
+#[cfg(not(target_os = "linux"))]
+const MAP_ANONYMOUS: c_int = 0x1000;
+const MAP_FAILED: *mut c_void = !0usize as *mut c_void;
+
+/// Granule the host mapping length is rounded up to (the 4 KiB base page).
+const MAP_GRANULE: usize = 4096;
 
 /// A contiguous, zero-initialized block of host memory standing in for a
 /// populated physical region.
@@ -35,16 +66,34 @@ unsafe impl Send for Backing {}
 unsafe impl Sync for Backing {}
 
 impl Backing {
-    /// Allocate `len` bytes of zeroed backing. `len` is rounded up to an
-    /// 8-byte multiple so word access never straddles the end.
+    /// Map `len` bytes of zeroed backing. `len` is rounded up to an 8-byte
+    /// multiple so word access never straddles the end; the host mapping
+    /// itself spans whole 4 KiB pages.
     pub fn new(len: usize) -> Self {
         let len = len.div_ceil(8) * 8;
         assert!(len > 0, "zero-length backing");
-        let layout = Layout::from_size_align(len, 8).expect("backing layout");
-        // SAFETY: layout has non-zero size and valid 8-byte alignment.
-        let ptr = unsafe { alloc_zeroed(layout) };
-        assert!(!ptr.is_null(), "host allocation of {len} bytes failed");
-        Backing { ptr, len }
+        // SAFETY: a fresh anonymous private mapping aliases nothing; the
+        // arguments request exactly that and the result is checked below.
+        let ptr = unsafe {
+            mmap(
+                std::ptr::null_mut(),
+                Self::map_len(len),
+                PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS,
+                -1,
+                0,
+            )
+        };
+        assert!(ptr != MAP_FAILED, "host mapping of {len} bytes failed");
+        Backing {
+            ptr: ptr.cast(),
+            len,
+        }
+    }
+
+    #[inline]
+    fn map_len(len: usize) -> usize {
+        len.next_multiple_of(MAP_GRANULE)
     }
 
     /// Length in bytes (rounded up to a word multiple).
@@ -87,7 +136,8 @@ impl Backing {
             "unaligned word access at {offset}"
         );
         // SAFETY: in-bounds, aligned; AtomicU64 has no validity invariants
-        // beyond alignment and the memory is always initialized (zeroed).
+        // beyond alignment and the memory is always initialized (kernel-
+        // zeroed on first touch).
         unsafe { &*(self.ptr.add(offset) as *const AtomicU64) }
     }
 
@@ -153,9 +203,10 @@ impl Backing {
 
 impl Drop for Backing {
     fn drop(&mut self) {
-        let layout = Layout::from_size_align(self.len, 8).expect("backing layout");
-        // SAFETY: ptr was produced by `alloc_zeroed` with this exact layout.
-        unsafe { dealloc(self.ptr, layout) }
+        // SAFETY: `ptr` is the mapping `new` created with this exact length,
+        // and no pointer into it outlives `self`. `munmap` fails only on
+        // arguments no `Backing` can hold, so its result is not checked.
+        unsafe { munmap(self.ptr.cast(), Self::map_len(self.len)) };
     }
 }
 

@@ -34,7 +34,10 @@
 //! `e+1 → e+2`), so sustained back-to-back reader sections cannot defer
 //! freeing indefinitely: the backlog is bounded by the publishes issued
 //! within roughly two reader-section lengths, not by how long readers keep
-//! arriving. See DESIGN.md §12 for the ordering argument.
+//! arriving. A reader descheduled mid-section can stretch that window, so
+//! a publish that would leave `RETIRE_BACKLOG_HARD_CAP` snapshots parked
+//! waits out the grace period instead: the cap holds by construction. See
+//! DESIGN.md §12 for the ordering argument.
 //!
 //! Every publish bumps the owning zone's generation (and the global
 //! [`PhysMemory::populate_generation`] publish count). A per-core
@@ -72,9 +75,17 @@ pub const REGION_CACHE_WAYS: usize = 4;
 /// and it needs one timeslice to finish its nanosecond-scale section.
 pub const RETIRE_BACKLOG_SOFT_CAP: u64 = 8;
 
-/// Maximum `yield_now` donations per publish once the soft cap is hit.
-/// Bounds the writer's worst-case publish latency: reclamation pressure
-/// must never turn the control plane's publish into an unbounded wait.
+/// Retired-snapshot backlog a publish never leaves behind: at this level
+/// the writer waits out the grace period instead of deferring it, so the
+/// backlog (and its high water) never exceeds this bound.
+const RETIRE_BACKLOG_HARD_CAP: u64 = 4 * RETIRE_BACKLOG_SOFT_CAP;
+
+/// `yield_now` donations per publish between the soft and the hard cap.
+/// Below `RETIRE_BACKLOG_HARD_CAP` a straggler that outlasts the budget
+/// only defers freeing to a later publish, which keeps publish latency
+/// bounded in the common case. At the hard cap the budget no longer
+/// applies: the publish keeps yielding until the stale slot drains.
+/// Reader sections never block on a writer, so that wait always ends.
 const RETIRE_YIELD_BUDGET: u32 = 64;
 
 /// Free-list allocator for one NUMA zone.
@@ -564,7 +575,10 @@ impl PhysMemory {
     /// Clone-edit-publish one zone's region list under that zone's writer
     /// mutex. The edit closure may fail, in which case nothing is published
     /// and no generation moves. Publishing also attempts one epoch advance,
-    /// freeing the previous epoch's retired bucket if its readers drained.
+    /// freeing the previous epoch's retired bucket if its readers drained,
+    /// and waits for drains while the backlog is at the hard cap. Freed
+    /// snapshots are dropped (unmapping backings nothing else pins) only
+    /// after the mutex is released.
     fn mutate_zone<R>(
         &self,
         zone: usize,
@@ -605,30 +619,40 @@ impl PhysMemory {
         // SeqCst — and therefore post-retirement pointers only). Free that
         // bucket and advance; a busy previous slot just defers to a later
         // publish, and the registration protocol guarantees it drains.
-        let stale = ((e + 1) & 1) as usize;
-        let mut advance = shard.section_readers[stale].load(Ordering::SeqCst) == 0;
-        if !advance && backlog > RETIRE_BACKLOG_SOFT_CAP {
-            // A publish burst can outpace a reader preempted mid-section
-            // (its slot never drains while it holds no CPU). Donate the
-            // writer's timeslice — a bounded number of times — so the
-            // straggler can finish its nanosecond-scale section; then
-            // re-check. With the budget exhausted the publish proceeds
-            // without freeing: the writer never blocks indefinitely.
-            for _ in 0..RETIRE_YIELD_BUDGET {
-                std::thread::yield_now();
-                if shard.section_readers[stale].load(Ordering::SeqCst) == 0 {
-                    advance = true;
+        //
+        // A publish burst can outpace a reader preempted mid-section (its
+        // slot never drains while it holds no CPU). Above the soft cap the
+        // writer donates its timeslice, up to `RETIRE_YIELD_BUDGET` times,
+        // so the straggler can finish its nanosecond-scale section. At the
+        // hard cap it keeps advancing — at most twice, after which both
+        // buckets are empty — until the backlog is back under the cap, so
+        // the next push cannot exceed it.
+        let budget = if backlog > RETIRE_BACKLOG_SOFT_CAP {
+            RETIRE_YIELD_BUDGET
+        } else {
+            0
+        };
+        let mut yields = 0;
+        let mut freed_snapshots = Vec::new();
+        loop {
+            let e = shard.epoch.load(Ordering::SeqCst);
+            let stale = ((e + 1) & 1) as usize;
+            if shard.section_readers[stale].load(Ordering::SeqCst) == 0 {
+                freed_snapshots.append(&mut retired.buckets[stale]);
+                shard.epoch.store(e + 1, Ordering::SeqCst);
+                if retired.backlog() < RETIRE_BACKLOG_HARD_CAP {
                     break;
                 }
+            } else if retired.backlog() < RETIRE_BACKLOG_HARD_CAP && yields >= budget {
+                break;
+            } else {
+                yields += 1;
+                std::thread::yield_now();
             }
         }
-        let mut freed = 0u64;
-        if advance {
-            freed = retired.buckets[stale].len() as u64;
-            retired.buckets[stale].clear();
-            shard.epoch.store(e + 1, Ordering::SeqCst);
-        }
         drop(retired);
+        let freed = freed_snapshots.len() as u64;
+        drop(freed_snapshots);
         shard.swaps.fetch_add(1, Ordering::Relaxed);
         if freed > 0 {
             shard.retired_freed.fetch_add(freed, Ordering::Relaxed);
@@ -654,8 +678,11 @@ impl PhysMemory {
     }
 
     /// Attach real host memory to an allocated range so it can be accessed.
+    /// The backing is mapped before the zone's writer mutex is taken, and
+    /// a rejected populate unmaps it after the mutex is released.
     pub fn populate(&self, range: PhysRange) -> HwResult<()> {
         let zone = self.range_zone(&range)?;
+        let backing = Arc::new(Backing::new(range.len as usize));
         self.mutate_zone(zone, |regions| {
             let idx = regions.partition_point(|p| p.range.start.raw() < range.start.raw());
             // Regions are sorted and disjoint, so only the immediate
@@ -667,8 +694,13 @@ impl PhysMemory {
                     "populate overlaps an existing populated region",
                 ));
             }
-            let backing = Arc::new(Backing::new(range.len as usize));
-            regions.insert(idx, Populated { range, backing });
+            regions.insert(
+                idx,
+                Populated {
+                    range,
+                    backing: Arc::clone(&backing),
+                },
+            );
             Ok(())
         })
     }
@@ -824,22 +856,6 @@ impl PhysMemory {
     pub fn write_bytes(&self, addr: HostPhysAddr, buf: &[u8]) -> HwResult<()> {
         let (b, off) = self.resolve(addr, buf.len() as u64)?;
         b.write_bytes(off, buf);
-        Ok(())
-    }
-
-    /// Zero a physical range (must be fully populated).
-    pub fn zero_range(&self, range: PhysRange) -> HwResult<()> {
-        let (b, off) = self.resolve(range.start, range.len)?;
-        b.zero(off, range.len as usize);
-        Ok(())
-    }
-
-    /// Zero several ranges in one reader section (grant/boot zeroing).
-    pub fn zero_ranges(&self, ranges: &[PhysRange]) -> HwResult<()> {
-        let resolved = self.resolve_many(ranges)?;
-        for ((b, off), r) in resolved.iter().zip(ranges) {
-            b.zero(*off, r.len as usize);
-        }
         Ok(())
     }
 }
@@ -1265,18 +1281,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_ranges_batch() {
-        let m = mem();
-        let a = m.alloc_backed(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
-        let b = m.alloc_backed(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
-        m.write_u64(a.start, 7).unwrap();
-        m.write_u64(b.start, 8).unwrap();
-        m.zero_ranges(&[a, b]).unwrap();
-        assert_eq!(m.read_u64(a.start).unwrap(), 0);
-        assert_eq!(m.read_u64(b.start).unwrap(), 0);
-    }
-
-    #[test]
     fn region_cache_hits_and_generation_invalidation() {
         let m = mem();
         let cache = RegionCache::new();
@@ -1453,6 +1457,60 @@ mod tests {
             s.retired_backlog_high_water
         );
         assert!(s.retired_freed >= 500, "freed {}", s.retired_freed);
+    }
+
+    #[test]
+    fn publish_waits_at_hard_cap_for_a_stalled_reader() {
+        // A reader parked inside its section (as if descheduled) blocks
+        // its epoch slot. Publishes accumulate retired snapshots up to the
+        // hard cap and then wait for the slot instead of overrunning it.
+        let m = Arc::new(mem());
+        let slot = m.shards[0].begin_read();
+        let writer = {
+            let m = Arc::clone(&m);
+            std::thread::spawn(move || {
+                for _ in 0..2 * RETIRE_BACKLOG_HARD_CAP {
+                    let r = m.alloc_backed(ZoneId(0), 4096, PAGE_SIZE_4K).unwrap();
+                    m.free(r).unwrap();
+                }
+            })
+        };
+        let high_water = || m.shards[0].backlog_high_water.load(Ordering::Relaxed);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while high_water() < RETIRE_BACKLOG_HARD_CAP && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert_eq!(high_water(), RETIRE_BACKLOG_HARD_CAP);
+        assert!(!writer.is_finished(), "publish ran past the hard cap");
+        m.shards[0].end_read(slot);
+        writer.join().unwrap();
+        let s = m.zone_stats(ZoneId(0)).unwrap();
+        assert_eq!(s.retired_backlog_high_water, RETIRE_BACKLOG_HARD_CAP);
+        assert!(s.retired_backlog < RETIRE_BACKLOG_HARD_CAP);
+    }
+
+    #[test]
+    fn regrant_reads_zero_after_previous_owner_wrote() {
+        // Zero-on-grant isolation: a freed range handed out again (first
+        // fit returns the same extent) never shows the old owner's data.
+        let m = mem();
+        let len = 2 * 1024 * 1024;
+        let first = m.alloc_backed(ZoneId(0), len, PAGE_SIZE_4K).unwrap();
+        for off in (0..len).step_by(8) {
+            m.write_u64(first.start.add(off), 0x5a5a_5a5a_0000_0000 | off)
+                .unwrap();
+        }
+        m.free(first).unwrap();
+        let again = m.alloc_backed(ZoneId(0), len, PAGE_SIZE_4K).unwrap();
+        assert_eq!(again, first, "first fit must hand back the same range");
+        for off in (0..len).step_by(8) {
+            assert_eq!(
+                m.read_u64(again.start.add(off)).unwrap(),
+                0,
+                "word {off:#x}"
+            );
+        }
     }
 
     #[test]

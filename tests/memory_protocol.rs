@@ -229,3 +229,62 @@ fn ept_uses_large_pages_for_enclave_memory() {
     assert_eq!(c2m + c1g * 512, 32, "enclave memory must coalesce");
     assert_eq!(c4k, 64, "management region maps with 4 KiB pages");
 }
+
+#[test]
+fn regranted_memory_reads_zero_in_the_guest() {
+    // Zero-on-grant isolation end to end: memory the guest filled, gave
+    // back and is granted again reads as zeros through the guest's own
+    // data path (no stale TLB entry, region cache or host backing).
+    let (node, master, ctl) = world();
+    let req = ResourceRequest::new(vec![CoreId(2)], vec![(ZoneId(0), 64 * 1024 * 1024)]);
+    let (e, k) = master.bring_up_enclave("z", &req).unwrap();
+    let mut g = GuestCore::launch_covirt(
+        Arc::clone(&node),
+        Arc::clone(&k),
+        Arc::clone(&ctl),
+        2,
+        TlbParams::default(),
+    )
+    .unwrap();
+    let host = master.pisces();
+    const LEN: u64 = 2 * 1024 * 1024;
+
+    let range = host.add_memory(&e, ZoneId(0), LEN).unwrap();
+    k.poll_ctrl().unwrap();
+    host.process_acks(&e).unwrap();
+    for off in (0..LEN).step_by(8) {
+        g.write_u64(range.start.raw() + off, !off).unwrap();
+    }
+    assert_eq!(g.read_u64(range.end().raw() - 8).unwrap(), !(LEN - 8));
+
+    host.request_remove_memory(&e, range).unwrap();
+    k.poll_ctrl().unwrap();
+    // The reclaim blocks until the live core services its flush.
+    let reclaim = {
+        let host = Arc::clone(host);
+        let e = Arc::clone(&e);
+        std::thread::spawn(move || {
+            while e.resources().mem.contains(&range) {
+                host.process_acks(&e).unwrap();
+                std::thread::yield_now();
+            }
+        })
+    };
+    while !reclaim.is_finished() {
+        g.poll().unwrap();
+        std::thread::yield_now();
+    }
+    reclaim.join().unwrap();
+
+    let again = host.add_memory(&e, ZoneId(0), LEN).unwrap();
+    assert_eq!(again, range, "first fit must regrant the reclaimed range");
+    k.poll_ctrl().unwrap();
+    host.process_acks(&e).unwrap();
+    for off in (0..LEN).step_by(8) {
+        assert_eq!(
+            g.read_u64(again.start.raw() + off).unwrap(),
+            0,
+            "guest reads the previous owner's word at {off:#x}"
+        );
+    }
+}
