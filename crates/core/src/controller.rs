@@ -689,8 +689,9 @@ impl HobbesHooks for CovirtController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use covirt_simhw::addr::HostPhysAddr;
     use covirt_simhw::node::NodeConfig;
-    use covirt_simhw::paging::{Access, DirectLoad};
+    use covirt_simhw::paging::{Access, DirectLoad, Perms};
     use covirt_simhw::topology::CoreId;
     use pisces::resources::ResourceRequest;
 
@@ -956,6 +957,103 @@ mod tests {
                 &DirectLoad(mem)
             )
             .is_err());
+    }
+
+    /// Whether `enclave`'s EPT translates the first byte of `range`.
+    fn ept_maps(
+        ctl: &CovirtController,
+        master: &MasterControl,
+        enclave: u64,
+        range: PhysRange,
+    ) -> bool {
+        ctl.context(enclave)
+            .unwrap()
+            .ept
+            .as_ref()
+            .unwrap()
+            .translate(
+                covirt_simhw::addr::GuestPhysAddr::new(range.start.raw()),
+                Access::Read,
+                &DirectLoad(&master.pisces().node().mem),
+            )
+            .is_ok()
+    }
+
+    #[test]
+    fn xemem_attach_without_kernel_leaves_no_attachment_or_ept_mapping() {
+        let (master, ctl) = setup(CovirtConfig::MEM);
+        let (e1, _k1) = master.bring_up_enclave("p", &req()).unwrap();
+        // Launched through Pisces (so Covirt built its context), but no
+        // Kitten kernel was ever registered with the master.
+        let e2 = master
+            .pisces()
+            .create_enclave(
+                "c",
+                &ResourceRequest::new(vec![CoreId(3)], vec![(ZoneId(0), 32 * 1024 * 1024)]),
+            )
+            .unwrap();
+        master.pisces().launch(&e2).unwrap();
+        let r1 = e1.resources().mem[0];
+        let seg = PhysRange::new(r1.start.add(r1.len - 2 * 1024 * 1024), 2 * 1024 * 1024);
+        let segid = master.export_segment(e1.id.0, "x", seg).unwrap();
+
+        for _ in 0..2 {
+            assert!(matches!(
+                master.attach_segment(e2.id.0, "x"),
+                Err(hobbes::HobbesError::NoKernel(_))
+            ));
+        }
+        assert!(master.xemem().attachments(segid).unwrap().is_empty());
+        assert!(!ept_maps(&ctl, &master, e2.id.0, seg));
+    }
+
+    #[test]
+    fn xemem_attach_failing_mid_map_rolls_back_guest_xemem_and_ept() {
+        let (master, ctl) = setup(CovirtConfig::MEM);
+        let (e1, _k1) = master.bring_up_enclave("p", &req()).unwrap();
+        let (e2, k2) = master
+            .bring_up_enclave(
+                "c",
+                &ResourceRequest::new(vec![CoreId(3)], vec![(ZoneId(0), 32 * 1024 * 1024)]),
+            )
+            .unwrap();
+        let r1 = e1.resources().mem[0];
+        let seg = PhysRange::new(r1.start.add(r1.len - 4 * 1024 * 1024), 4 * 1024 * 1024);
+        let segid = master.export_segment(e1.id.0, "x", seg).unwrap();
+        // Leave the consumer a leaf table for the segment's first 2 MiB and
+        // no free table frame: the attach maps 512 pages, then fails.
+        let pt = &k2.page_tables;
+        pt.map(seg.start.raw(), seg.start, PAGE_SIZE_4K, Perms::RWX, 1)
+            .unwrap();
+        pt.unmap(seg.start.raw(), PAGE_SIZE_4K).unwrap();
+        let far = 1u64 << 40;
+        let filler = |k: u64| {
+            let va = far + k * 2 * 1024 * 1024;
+            pt.map(va, HostPhysAddr::new(va), PAGE_SIZE_4K, Perms::RWX, 1)
+        };
+        let k = (0..).find(|&k| filler(k).is_err()).unwrap();
+        assert!(matches!(
+            filler(k + 1),
+            Err(covirt_simhw::error::HwError::OutOfMemory { .. })
+        ));
+
+        for _ in 0..2 {
+            // A retry fails the same way, not with `AlreadyAttached`.
+            assert!(matches!(
+                master.attach_segment(e2.id.0, "x"),
+                Err(hobbes::HobbesError::Kitten(_))
+            ));
+            assert!(master.xemem().attachments(segid).unwrap().is_empty());
+            assert!(
+                k2.translate(seg.start.raw()).is_err(),
+                "partial map left behind"
+            );
+            assert!(k2
+                .memmap()
+                .by_kind(kitten::memmap::RegionKind::Shared)
+                .is_empty());
+            assert!(!ept_maps(&ctl, &master, e2.id.0, seg));
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::events::{FailureNotice, HobbesHooks, NoticeBoard};
 use crate::{HobbesError, HobbesResult};
-use covirt_simhw::addr::PhysRange;
+use covirt_simhw::addr::{PhysRange, PAGE_SIZE_4K};
 use covirt_simhw::node::SimNode;
 use kitten::KittenKernel;
 use parking_lot::RwLock;
@@ -124,6 +124,22 @@ impl MasterControl {
     /// guest can only reach the pages after the hypervisor mapping exists.
     pub fn attach_segment(&self, who: u64, name: &str) -> HobbesResult<PhysRange> {
         let segid = self.xemem.lookup(name)?;
+        // Everything that can refuse the attach without side effects runs
+        // before the hook maps the EPT: the kernel lookup, and a segment
+        // overlapping memory the attacher already maps (the rollback below
+        // would unmap that memory too).
+        let kernel = self.kernel(who)?;
+        let range = self.xemem.info(segid)?.range;
+        if kernel
+            .memmap()
+            .regions()
+            .iter()
+            .any(|r| r.range.overlaps(&range))
+        {
+            return Err(HobbesError::Invalid(
+                "segment overlaps the attacher's memory map",
+            ));
+        }
         let info = self.xemem.attach(segid, who)?;
         for h in self.hooks.read().iter() {
             if let Err(why) = h.on_xemem_attach_prepared(who, info.range) {
@@ -132,13 +148,25 @@ impl MasterControl {
                 return Err(HobbesError::Vetoed(why));
             }
         }
-        let kernel = self.kernel(who)?;
         // The attach transmits a page-frame list (XPMEM semantics); the
         // guest kernel maps it page by page. The Covirt EPT mapping above
         // covered the whole extent in one coalesced operation — which is
         // why the EPT update is invisible next to this linear work.
         let pages = info.page_frame_list();
-        kernel.map_shared_pagelist(info.range, &pages)?;
+        if let Err(e) = kernel.map_shared_pagelist(info.range, &pages) {
+            // Undo in detach order: guest unmap → XEMEM bookkeeping → hook.
+            // Nothing in the range was mapped before (checked above), so
+            // unmapping all of it removes exactly the partial map.
+            let first = info.range.start.align_down(PAGE_SIZE_4K).raw();
+            let _ = kernel
+                .page_tables
+                .unmap(first, pages.len() as u64 * PAGE_SIZE_4K);
+            let _ = self.xemem.detach(segid, who);
+            for h in self.hooks.read().iter() {
+                let _ = h.on_xemem_detach_acked(who, info.range);
+            }
+            return Err(e.into());
+        }
         self.dependencies
             .write()
             .entry(segid)
@@ -150,9 +178,14 @@ impl MasterControl {
     /// Detach enclave `who` from the named segment.
     ///
     /// Ordering: guest kernel unmaps → XEMEM bookkeeping → **hook** (EPT
-    /// unmap + TLB flush) → memory may be reused.
+    /// unmap + TLB flush) → memory may be reused. Only an attached enclave
+    /// gets that far: anyone else (the owner included, whose export lies
+    /// in its own memory) is refused before its kernel unmaps anything.
     pub fn detach_segment(&self, who: u64, name: &str) -> HobbesResult<()> {
         let segid = self.xemem.lookup(name)?;
+        if !self.xemem.attachments(segid)?.contains(&who) {
+            return Err(xemem::XememError::NotAttached.into());
+        }
         let info = self.xemem.info(segid)?;
         let kernel = self.kernel(who)?;
         kernel.unmap_shared(info.range)?;
@@ -251,6 +284,54 @@ mod tests {
 
         m.detach_segment(e2.id.0, "exchange").unwrap();
         assert!(k2.translate(seg_range.start.raw()).is_err());
+    }
+
+    #[test]
+    fn detach_by_unattached_enclave_leaves_its_mappings() {
+        let m = master();
+        let (e1, k1) = m.bring_up_enclave("producer", &req(1)).unwrap();
+        let (e2, k2) = m.bring_up_enclave("stranger", &req(2)).unwrap();
+        let seg_range = carve(&e1);
+        m.export_segment(e1.id.0, "exchange", seg_range).unwrap();
+        let memmaps = (
+            k1.memmap().regions().to_vec(),
+            k2.memmap().regions().to_vec(),
+        );
+
+        // Neither the owner nor a never-attached enclave may detach.
+        for who in [e1.id.0, e2.id.0] {
+            assert!(matches!(
+                m.detach_segment(who, "exchange"),
+                Err(HobbesError::Xemem(xemem::XememError::NotAttached))
+            ));
+        }
+        // The owner still maps its exported memory; nothing changed.
+        assert_eq!(
+            k1.translate(seg_range.start.raw()).unwrap(),
+            seg_range.start
+        );
+        assert!(k2.translate(seg_range.start.raw()).is_err());
+        assert_eq!(k1.memmap().regions(), &memmaps.0[..]);
+        assert_eq!(k2.memmap().regions(), &memmaps.1[..]);
+    }
+
+    #[test]
+    fn attach_overlapping_an_attached_segment_is_refused_cleanly() {
+        let m = master();
+        let (e1, _) = m.bring_up_enclave("producer", &req(1)).unwrap();
+        let (e2, k2) = m.bring_up_enclave("consumer", &req(2)).unwrap();
+        let seg_range = carve(&e1);
+        m.export_segment(e1.id.0, "a", seg_range).unwrap();
+        let b = m.export_segment(e1.id.0, "b", seg_range).unwrap();
+        m.attach_segment(e2.id.0, "a").unwrap();
+        assert!(matches!(
+            m.attach_segment(e2.id.0, "b"),
+            Err(HobbesError::Invalid(_))
+        ));
+        assert!(m.xemem().attachments(b).unwrap().is_empty());
+        // The first attachment's mapping survives the refused one.
+        assert!(k2.translate(seg_range.start.raw()).is_ok());
+        assert_eq!(k2.memmap().by_kind(RegionKind::Shared).len(), 1);
     }
 
     #[test]

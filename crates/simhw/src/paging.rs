@@ -446,65 +446,60 @@ impl<F: EntryFormat> RadixTable<F> {
         if !va.is_multiple_of(PAGE_SIZE_4K) || !len.is_multiple_of(PAGE_SIZE_4K) {
             return Err(HwError::Invalid("unmap arguments must be 4 KiB aligned"));
         }
-        let mut off = 0u64;
-        while off < len {
-            let cva = va + off;
-            match self.clear_one(cva, va, len)? {
-                Some(step) => off += step,
-                None => off += PAGE_SIZE_4K,
-            }
-        }
-        Ok(())
+        let end = va
+            .checked_add(len)
+            .ok_or(HwError::Invalid("unmap range wraps the address space"))?;
+        self.clear_range(self.root, 4, va, end)
     }
 
-    /// Clear the leaf covering `va`, splitting large pages if the unmap
-    /// range does not cover them fully. Returns the bytes cleared.
-    fn clear_one(&self, va: u64, range_va: u64, range_len: u64) -> HwResult<Option<u64>> {
-        let mut table = self.root;
-        let mut level = 4u8;
-        loop {
-            let eaddr = Self::entry_addr(table, level_index(va, level));
+    /// Clear `[lo, hi)` inside the level-`level` table at `table`, visiting
+    /// each entry the range touches exactly once (the `zap_pte_range`
+    /// shape): holes are skipped, table entries descended into, fully
+    /// covered leaves cleared, and partially covered large leaves split
+    /// into the next level down before the walk recurses into them. Every
+    /// clear is a single entry store, so concurrent walkers see each entry
+    /// either intact or gone.
+    fn clear_range(&self, table: HostPhysAddr, level: u8, lo: u64, hi: u64) -> HwResult<()> {
+        if level == 1 {
+            // Zeroing a not-present entry is a no-op: store without loading.
+            for i in level_index(lo, 1)..=level_index(hi - 1, 1) {
+                self.write_entry(Self::entry_addr(table, i), 0)?;
+            }
+            return Ok(());
+        }
+        let span = 1u64 << (12 + 9 * (level as u64 - 1));
+        let mut cur = lo;
+        while cur < hi {
+            let base = cur & !(span - 1);
+            let end = base + span.min(hi - base);
+            let eaddr = Self::entry_addr(table, level_index(cur, level));
             let e = self.read_entry(eaddr)?;
             if !F::present(e) {
-                // Hole: skip to the end of this entry's span.
-                let span = if level == 4 {
-                    512 * level_page_size(3)
-                } else {
-                    level_page_size(level)
-                };
-                let skip = span - (va % span);
-                return Ok(Some(skip.min(range_va + range_len - va)));
-            }
-            if level > 1 && !F::leaf(e, level) {
-                table = F::frame(e);
-                level -= 1;
-                continue;
-            }
-            // Found the leaf.
-            let page_size = level_page_size(level);
-            let page_base = va - va % page_size;
-            let covered = page_base >= range_va && page_base + page_size <= range_va + range_len;
-            if covered || level == 1 {
+                // Hole: nothing to clear under this entry.
+            } else if !F::leaf(e, level) {
+                self.clear_range(F::frame(e), level - 1, cur, end)?;
+            } else if end - cur == span {
                 self.write_entry(eaddr, 0)?;
-                return Ok(Some(page_size - (va - page_base)));
+            } else {
+                // Partially covered large page: split into the next level.
+                let child = self.pool.alloc_frame()?;
+                let child_size = level_page_size(level - 1);
+                let base_pa = F::frame(e).raw();
+                let perms = F::entry_perms(e);
+                for i in 0..512u64 {
+                    let ce = F::leaf_entry(
+                        HostPhysAddr::new(base_pa + i * child_size),
+                        level - 1,
+                        perms,
+                    );
+                    self.write_entry(Self::entry_addr(child, i), ce)?;
+                }
+                self.write_entry(eaddr, F::table_entry(child))?;
+                self.clear_range(child, level - 1, cur, end)?;
             }
-            // Partially covered large page: split into the next level down.
-            let child = self.pool.alloc_frame()?;
-            let child_size = level_page_size(level - 1);
-            let base_pa = F::frame(e).raw();
-            let perms = F::entry_perms(e);
-            for i in 0..512u64 {
-                let ce = F::leaf_entry(
-                    HostPhysAddr::new(base_pa + i * child_size),
-                    level - 1,
-                    perms,
-                );
-                self.write_entry(Self::entry_addr(child, i), ce)?;
-            }
-            self.write_entry(eaddr, F::table_entry(child))?;
-            table = child;
-            level -= 1;
+            cur = end;
         }
+        Ok(())
     }
 
     /// Walk the table for `va`. Each entry address is first translated
@@ -683,6 +678,48 @@ mod tests {
         let (c4k, c2m, _) = pt.leaf_counts().unwrap();
         assert_eq!(c2m, 0);
         assert_eq!(c4k, 511);
+    }
+
+    #[test]
+    fn unmap_splits_both_ends_across_giant_boundary() {
+        let mem = Arc::new(PhysMemory::new(&[4 * 1024 * 1024 * 1024]));
+        let pool_region = mem
+            .alloc_backed(ZoneId(0), 4 * 1024 * 1024, PAGE_SIZE_4K)
+            .unwrap();
+        let pool = Arc::new(FramePool::new(Arc::clone(&mem), pool_region));
+        let pt = GuestPageTables::new(Arc::clone(&pool)).unwrap();
+        // Two 2 MiB leaves on either side of the 1 GiB boundary `g`, with
+        // an unmapped 4 MiB hole between them.
+        let g = 2 * PAGE_SIZE_1G;
+        let lo_leaf = g - 2 * PAGE_SIZE_2M;
+        let hi_leaf = g + PAGE_SIZE_2M;
+        for va in [lo_leaf, hi_leaf] {
+            pt.map(va, HostPhysAddr::new(va), PAGE_SIZE_2M, Perms::RW, 2)
+                .unwrap();
+        }
+        // Start inside the low leaf, cross the hole, end inside the high one.
+        let (start, end) = (lo_leaf + PAGE_SIZE_2M / 2, hi_leaf + PAGE_SIZE_2M / 2);
+        let before = pool.remaining();
+        pt.unmap(start, end - start).unwrap();
+        assert_eq!(
+            before - pool.remaining(),
+            2 * PAGE_SIZE_4K,
+            "one split per end"
+        );
+
+        let loader = DirectLoad(&mem);
+        for va in (lo_leaf..hi_leaf + PAGE_SIZE_2M).step_by(PAGE_SIZE_4K as usize) {
+            match pt.walk(va, &loader) {
+                Ok(t) => {
+                    assert!(va < start || va >= end, "{va:#x} still mapped");
+                    assert_eq!(t.page_size, PAGE_SIZE_4K);
+                    assert_eq!(t.pa.raw(), va);
+                    assert_eq!(t.perms, Perms::RW);
+                }
+                Err(_) => assert!((start..end).contains(&va), "{va:#x} lost"),
+            }
+        }
+        assert_eq!(pt.leaf_counts().unwrap(), (512, 0, 0));
     }
 
     #[test]

@@ -44,8 +44,15 @@ enum PtOp {
 
 fn pt_op() -> impl Strategy<Value = PtOp> {
     let pages = 64 * 1024 * 1024 / PAGE_SIZE_4K; // 16384
+    let per_2m = PAGE_SIZE_2M / PAGE_SIZE_4K; // 512
     prop_oneof![
         (0..pages, 1u64..64).prop_map(|(page, count)| PtOp::Map { page, count }),
+        // 2 MiB-aligned and at least 2 MiB long: installs a 2 MiB leaf, so
+        // later partial unmaps exercise the split path.
+        (0..pages / per_2m, per_2m..2 * per_2m + 1).prop_map(move |(slot, count)| PtOp::Map {
+            page: slot * per_2m,
+            count
+        }),
         (0..pages, 1u64..64).prop_map(|(page, count)| PtOp::Unmap { page, count }),
     ]
 }
