@@ -525,7 +525,7 @@ mod tests {
     fn nmi_drains_command_queue_and_flushes() {
         let (_n, vctx, mut hv, mut tlb) = setup(CovirtConfig::MEM);
         // Seed a TLB entry, then ask for a flush through the queue.
-        let backing = Arc::new(covirt_simhw::backing::Backing::new(4096));
+        let backing = Arc::new(covirt_simhw::backing::Backing::new(4096).unwrap());
         tlb.insert(
             0x1000,
             PAGE_SIZE_4K,
@@ -551,7 +551,7 @@ mod tests {
     #[test]
     fn nmi_executes_range_flush_selectively() {
         let (_n, vctx, mut hv, mut tlb) = setup(CovirtConfig::MEM);
-        let backing = Arc::new(covirt_simhw::backing::Backing::new(2 * 4096));
+        let backing = Arc::new(covirt_simhw::backing::Backing::new(2 * 4096).unwrap());
         tlb.insert(
             0x1000,
             PAGE_SIZE_4K,

@@ -252,7 +252,7 @@ mod tests {
 
     #[test]
     fn checked_align_up_boundaries() {
-        let top = HostPhysAddr::new(u64::MAX & !(PAGE_SIZE_4K - 1)); // aligned top boundary
+        let top = HostPhysAddr::new(!(PAGE_SIZE_4K - 1)); // aligned top boundary
         assert_eq!(top.checked_align_up(PAGE_SIZE_4K), Some(top));
         assert_eq!(
             HostPhysAddr::new(top.raw() - 1)

@@ -551,10 +551,14 @@ impl PhysMemory {
         })
     }
 
-    /// Allocate and immediately populate a range.
+    /// Allocate and immediately populate a range. If the populate fails
+    /// (the host refused the mapping), the range goes back to the zone.
     pub fn alloc_backed(&self, zone: ZoneId, len: u64, align: u64) -> HwResult<PhysRange> {
         let range = self.alloc(zone, len, align)?;
-        self.populate(range)?;
+        if let Err(e) = self.populate(range) {
+            self.shards[zone.0].alloc.lock().free(range);
+            return Err(e);
+        }
         Ok(range)
     }
 
@@ -679,10 +683,15 @@ impl PhysMemory {
 
     /// Attach real host memory to an allocated range so it can be accessed.
     /// The backing is mapped before the zone's writer mutex is taken, and
-    /// a rejected populate unmaps it after the mutex is released.
+    /// a rejected populate unmaps it after the mutex is released. A host
+    /// that refuses the mapping yields `OutOfMemory`.
     pub fn populate(&self, range: PhysRange) -> HwResult<()> {
         let zone = self.range_zone(&range)?;
-        let backing = Arc::new(Backing::new(range.len as usize));
+        let backing = Backing::new(range.len as usize).map_err(|_| HwError::OutOfMemory {
+            zone,
+            requested: range.len,
+        })?;
+        let backing = Arc::new(backing);
         self.mutate_zone(zone, |regions| {
             let idx = regions.partition_point(|p| p.range.start.raw() < range.start.raw());
             // Regions are sorted and disjoint, so only the immediate
@@ -1511,6 +1520,41 @@ mod tests {
                 "word {off:#x}"
             );
         }
+    }
+
+    #[test]
+    fn host_refused_backing_fails_cleanly() {
+        // A zone-sized backing no ordinary host will map (800 GiB): the
+        // refusal must surface as `OutOfMemory` with the range back on the
+        // free list, not as a panic or a leaked allocation. A host that
+        // overcommits without limit maps it, and `free` must then restore
+        // the zone.
+        const ZONE: u64 = 800 << 30;
+        let m = PhysMemory::new(&[ZONE]);
+        let free_bytes = |m: &PhysMemory| {
+            let (total, used) = m.zone_usage(ZoneId(0)).unwrap();
+            total - used
+        };
+        let before = free_bytes(&m);
+        match m.alloc_backed(ZoneId(0), ZONE, crate::addr::PAGE_SIZE_2M) {
+            Err(e) => {
+                eprintln!("host refused the 800 GiB mapping: {e}");
+                assert_eq!(
+                    e,
+                    HwError::OutOfMemory {
+                        zone: 0,
+                        requested: ZONE
+                    }
+                );
+                assert_eq!(m.populated_regions(), 0);
+            }
+            Ok(r) => {
+                eprintln!("host mapped the 800 GiB backing; freeing it");
+                assert_eq!(free_bytes(&m), 0);
+                m.free(r).unwrap();
+            }
+        }
+        assert_eq!(free_bytes(&m), before, "zone free bytes restored");
     }
 
     #[test]

@@ -153,7 +153,8 @@ impl Tlb {
         self.tracer = Some(tracer);
     }
 
-    /// Geometry in use (after power-of-two rounding).
+    /// Geometry in use: the exact entry counts given to [`Tlb::new`], each
+    /// clamped to at least one entry.
     pub fn params(&self) -> TlbParams {
         self.params
     }
@@ -307,7 +308,7 @@ mod tests {
     use crate::addr::{PAGE_SIZE_2M, PAGE_SIZE_4K};
 
     fn backing_page() -> Arc<Backing> {
-        Arc::new(Backing::new(PAGE_SIZE_2M as usize))
+        Arc::new(Backing::new(PAGE_SIZE_2M as usize).unwrap())
     }
 
     #[test]

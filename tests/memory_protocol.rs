@@ -6,7 +6,7 @@ use covirt_suite::covirt::config::CovirtConfig;
 use covirt_suite::covirt::{CovirtController, GuestCore};
 use covirt_suite::hobbes::MasterControl;
 use covirt_suite::pisces::resources::ResourceRequest;
-use covirt_suite::simhw::addr::PhysRange;
+use covirt_suite::simhw::addr::{PhysRange, PAGE_SIZE_2M};
 use covirt_suite::simhw::node::{NodeConfig, SimNode};
 use covirt_suite::simhw::paging::{Access, DirectLoad};
 use covirt_suite::simhw::tlb::TlbParams;
@@ -247,44 +247,47 @@ fn regranted_memory_reads_zero_in_the_guest() {
     )
     .unwrap();
     let host = master.pisces();
-    const LEN: u64 = 2 * 1024 * 1024;
 
-    let range = host.add_memory(&e, ZoneId(0), LEN).unwrap();
-    k.poll_ctrl().unwrap();
-    host.process_acks(&e).unwrap();
-    for off in (0..LEN).step_by(8) {
-        g.write_u64(range.start.raw() + off, !off).unwrap();
-    }
-    assert_eq!(g.read_u64(range.end().raw() - 8).unwrap(), !(LEN - 8));
+    // One 2 MiB grant (a plain host mapping) and one spanning three 2 MiB
+    // pages (a huge-page host mapping).
+    for len in [PAGE_SIZE_2M, 3 * PAGE_SIZE_2M] {
+        let range = host.add_memory(&e, ZoneId(0), len).unwrap();
+        k.poll_ctrl().unwrap();
+        host.process_acks(&e).unwrap();
+        for off in (0..len).step_by(8) {
+            g.write_u64(range.start.raw() + off, !off).unwrap();
+        }
+        assert_eq!(g.read_u64(range.end().raw() - 8).unwrap(), !(len - 8));
 
-    host.request_remove_memory(&e, range).unwrap();
-    k.poll_ctrl().unwrap();
-    // The reclaim blocks until the live core services its flush.
-    let reclaim = {
-        let host = Arc::clone(host);
-        let e = Arc::clone(&e);
-        std::thread::spawn(move || {
-            while e.resources().mem.contains(&range) {
-                host.process_acks(&e).unwrap();
-                std::thread::yield_now();
-            }
-        })
-    };
-    while !reclaim.is_finished() {
-        g.poll().unwrap();
-        std::thread::yield_now();
-    }
-    reclaim.join().unwrap();
+        host.request_remove_memory(&e, range).unwrap();
+        k.poll_ctrl().unwrap();
+        // The reclaim blocks until the live core services its flush.
+        let reclaim = {
+            let host = Arc::clone(host);
+            let e = Arc::clone(&e);
+            std::thread::spawn(move || {
+                while e.resources().mem.contains(&range) {
+                    host.process_acks(&e).unwrap();
+                    std::thread::yield_now();
+                }
+            })
+        };
+        while !reclaim.is_finished() {
+            g.poll().unwrap();
+            std::thread::yield_now();
+        }
+        reclaim.join().unwrap();
 
-    let again = host.add_memory(&e, ZoneId(0), LEN).unwrap();
-    assert_eq!(again, range, "first fit must regrant the reclaimed range");
-    k.poll_ctrl().unwrap();
-    host.process_acks(&e).unwrap();
-    for off in (0..LEN).step_by(8) {
-        assert_eq!(
-            g.read_u64(again.start.raw() + off).unwrap(),
-            0,
-            "guest reads the previous owner's word at {off:#x}"
-        );
+        let again = host.add_memory(&e, ZoneId(0), len).unwrap();
+        assert_eq!(again, range, "first fit must regrant the reclaimed range");
+        k.poll_ctrl().unwrap();
+        host.process_acks(&e).unwrap();
+        for off in (0..len).step_by(8) {
+            assert_eq!(
+                g.read_u64(again.start.raw() + off).unwrap(),
+                0,
+                "guest reads the previous owner's word at {off:#x} of a {len:#x}-byte grant"
+            );
+        }
     }
 }
