@@ -1,16 +1,19 @@
 //! # covirt-bench — the evaluation harness
 //!
-//! Two entry points:
+//! One entry point, the **`figures` binary** (`cargo run -p covirt-bench
+//! --release --bin figures -- <subcommand> [--full]`; no arguments prints
+//! the usage text generated from its subcommand table):
 //!
-//! * the **`figures` binary** (`cargo run -p covirt-bench --release --bin
-//!   figures -- <table1|fig3|fig4|fig5a|fig5b|fig6|fig7|fig8|all>
-//!   [--full]`) re-runs an experiment and prints the same rows/series the
-//!   paper's table or figure reports, including the overhead percentages
-//!   the text quotes;
-//! * the **criterion benches** (`cargo bench -p covirt-bench`), one per
-//!   figure plus the ablation suite for the design choices DESIGN.md calls
-//!   out (EPT coalescing, IPI mode, asynchronous command-queue
-//!   reconfiguration, per-exit-reason cost).
+//! * `table1`, `fig3`, `fig4`, `fig5a`, `fig5b`, `fig6`, `fig7`, `fig8`
+//!   re-run a paper experiment and print the same rows/series its table or
+//!   figure reports, including the overhead percentages the text quotes;
+//!   `all` runs these plus `scaling` and `shootdown`;
+//! * `scaling`, `numa`, `shootdown`, `traceovh`, `audit`, `selfheal`,
+//!   `exitless` and `profile` run the repo's extension harnesses; all but
+//!   `scaling` and `shootdown` are gated (a failed check exits 1);
+//! * `trace` and `report` export flight-recorder artifacts;
+//! * `bench` runs the structured benchmark suite (gated) and, with
+//!   `--compare`, the baseline regression gate.
 //!
 //! This library holds the shared formatting helpers, the shared
 //! [`gate::GateResult`] pass/fail path every gated subcommand exits

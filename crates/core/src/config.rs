@@ -6,11 +6,10 @@
 //! acceptable for the workload. These are the configurations the
 //! evaluation sweeps (native / no features / memory / memory+IPI).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How IPI protection is implemented (Section IV-C).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IpiMode {
     /// Full APIC virtualization: every ICR write traps *and* every
     /// incoming interrupt forces a VM exit (the VMX requirement).
@@ -21,7 +20,7 @@ pub enum IpiMode {
 }
 
 /// The feature set of one Covirt instance.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CovirtConfig {
     /// EPT-based memory protection.
     pub memory: bool,
@@ -145,7 +144,7 @@ impl fmt::Display for CovirtConfig {
 
 /// An evaluation configuration: native Pisces, or Covirt with a feature
 /// set. Every benchmark in the harness sweeps a list of these.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecMode {
     /// Plain Pisces co-kernel, no hypervisor (the paper's baseline).
     Native,

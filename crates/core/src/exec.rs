@@ -418,11 +418,6 @@ impl GuestCore {
         self.walk_cache_enabled = enabled;
     }
 
-    /// Enable or disable the region cache (ablation knob; on by default).
-    pub fn set_region_cache_enabled(&mut self, enabled: bool) {
-        self.region_cache.set_enabled(enabled);
-    }
-
     /// Restrict the region cache's associativity (ablation knob; full
     /// associativity by default).
     pub fn set_region_cache_ways(&mut self, ways: usize) {
@@ -1178,20 +1173,6 @@ mod tests {
             "second fill in the same grant region must hit the region cache"
         );
         assert!(c.resolve_misses > 0, "cold fills must miss");
-    }
-
-    #[test]
-    fn region_cache_disabled_never_hits() {
-        let w = world(ExecMode::Native);
-        let mut gc = core(&w, 1);
-        gc.set_region_cache_enabled(false);
-        let a = data_gva(&w);
-        for i in 0..2 {
-            gc.read_u64(a + i * 2 * 1024 * 1024).unwrap();
-        }
-        let c = gc.counters();
-        assert_eq!(c.resolve_hits, 0);
-        assert!(c.resolve_misses > 0);
     }
 
     #[test]

@@ -2,13 +2,12 @@
 
 use covirt_simhw::addr::PhysRange;
 use covirt_simhw::topology::{CoreId, ZoneId};
-use serde::{Deserialize, Serialize};
 
 /// What an enclave is *assigned* (requested at creation, then dynamically
 /// grown/shrunk). This is the co-operative partition Pisces maintains; the
 /// point of Covirt is that nothing in *hardware* enforces it until the
 /// hypervisor is interposed.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ResourceSpec {
     /// Cores assigned to the enclave.
     pub cores: Vec<CoreId>,

@@ -327,6 +327,22 @@ mod tests {
         (mem, ept)
     }
 
+    /// Table loads of one translation, checked to be the same at the
+    /// first, middle and last 8 bytes of the identity-mapped `r`.
+    fn translate_loads(mem: &PhysMemory, ept: &Ept, r: PhysRange) -> u32 {
+        let loads: Vec<u32> = [0, r.len / 2, r.len - 8]
+            .into_iter()
+            .map(|off| {
+                let gpa = GuestPhysAddr::new(r.start.raw() + off);
+                ept.translate(gpa, Access::Read, &DirectLoad(mem))
+                    .unwrap()
+                    .loads
+            })
+            .collect();
+        assert!(loads.iter().all(|&l| l == loads[0]), "{loads:?}");
+        loads[0]
+    }
+
     #[test]
     fn identity_translate() {
         let (mem, ept) = setup();
@@ -388,6 +404,7 @@ mod tests {
         let (c4k, c2m, _c1g) = ept.leaf_counts().unwrap();
         assert_eq!(c4k, 0);
         assert_eq!(c2m, 4);
+        assert_eq!(translate_loads(&mem, &ept, r), 3, "2 MiB leaf: 3-load walk");
     }
 
     #[test]
@@ -398,6 +415,7 @@ mod tests {
         let (c4k, c2m, _): (u64, u64, u64) = ept.leaf_counts().unwrap();
         assert_eq!(c4k, 512);
         assert_eq!(c2m, 0);
+        assert_eq!(translate_loads(&mem, &ept, r), 4, "4 KiB leaf: 4-load walk");
     }
 
     #[test]

@@ -933,7 +933,6 @@ pub struct RegionCache {
     /// Active associativity (1..=REGION_CACHE_WAYS; ablation knob).
     ways_limit: Cell<usize>,
     view: RefCell<Option<Arc<RegionView>>>,
-    enabled: Cell<bool>,
     hits: Cell<u64>,
     misses: Cell<u64>,
 }
@@ -946,18 +945,8 @@ impl RegionCache {
             victim: Cell::new(0),
             ways_limit: Cell::new(REGION_CACHE_WAYS),
             view: RefCell::new(None),
-            enabled: Cell::new(true),
             hits: Cell::new(0),
             misses: Cell::new(0),
-        }
-    }
-
-    /// Ablation knob: a disabled cache never hits and never pins, so every
-    /// resolve pays the snapshot search (on by default).
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.set(enabled);
-        if !enabled {
-            self.invalidate();
         }
     }
 
@@ -991,42 +980,31 @@ impl RegionCache {
         addr: HostPhysAddr,
         len: u64,
     ) -> HwResult<(Arc<Backing>, usize)> {
-        let mut fill = false;
-        let mut view_tag = None;
-        if self.enabled.get() {
-            // The validity tag, sampled before the lookup (and, for a
-            // view, before the fill's resolve — see the view-mode race
-            // note on the type).
-            let tag = match self.view.borrow().as_ref() {
-                Some(v) => {
-                    let g = v.generation();
-                    view_tag = Some(g);
-                    Some(g)
+        // The validity tag, sampled before the lookup (and, for a view,
+        // before the fill's resolve — see the view-mode race note on the
+        // type).
+        let view_tag = self.view.borrow().as_ref().map(|v| v.generation());
+        let tag = view_tag.or_else(|| mem.zone_generation_of(addr));
+        if let Some(tag) = tag {
+            let ways = self.ways.borrow();
+            for w in ways.iter().take(self.ways_limit.get()).flatten() {
+                if w.tag == tag
+                    && w.region.range.contains(addr)
+                    && addr.raw() + len <= w.region.range.end().raw()
+                {
+                    self.hits.set(self.hits.get() + 1);
+                    mem.note_cache_hit(addr);
+                    return Ok((
+                        Arc::clone(&w.region.backing),
+                        (addr.raw() - w.region.range.start.raw()) as usize,
+                    ));
                 }
-                None => mem.zone_generation_of(addr),
-            };
-            if let Some(tag) = tag {
-                let ways = self.ways.borrow();
-                for w in ways.iter().take(self.ways_limit.get()).flatten() {
-                    if w.tag == tag
-                        && w.region.range.contains(addr)
-                        && addr.raw() + len <= w.region.range.end().raw()
-                    {
-                        self.hits.set(self.hits.get() + 1);
-                        mem.note_cache_hit(addr);
-                        return Ok((
-                            Arc::clone(&w.region.backing),
-                            (addr.raw() - w.region.range.start.raw()) as usize,
-                        ));
-                    }
-                }
-                fill = true;
             }
         }
         self.misses.set(self.misses.get() + 1);
         let r = mem.resolve_region(addr, len)?;
         let off = (addr.raw() - r.range.start.raw()) as usize;
-        if fill {
+        if tag.is_some() {
             // Plain mode tags with the snapshot's own zone generation
             // (never re-sampled); view mode with the pre-resolve view
             // generation.

@@ -194,7 +194,7 @@ mod tests {
         use std::sync::Arc;
 
         proptest! {
-            #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+            #![proptest_config(ProptestConfig::with_cases(24))]
             /// Race `post()` against `harvest()` across the ON-clear/drain
             /// window: every posted vector must surface either in one of
             /// the concurrent harvest batches or in the final drain, and
@@ -202,7 +202,6 @@ mod tests {
             /// doorbell-aware core will come back for it) — no lost
             /// vectors, no lost wakeups.
             #[test]
-            #[allow(clippy::needless_update)]
             fn no_vector_lost_across_harvest_window(
                 threads in 1usize..5,
                 vectors in proptest::collection::vec(0u8..0xf0, 1..24),

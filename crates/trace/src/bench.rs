@@ -1249,7 +1249,7 @@ mod tests {
         }
 
         proptest! {
-            #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+            #![proptest_config(ProptestConfig::with_cases(256))]
 
             /// MAD is non-negative and zero for constant samples.
             #[test]

@@ -1,7 +1,7 @@
 //! Per-figure drivers: one function per table/figure in the paper's
 //! evaluation, each sweeping the paper's configurations and returning the
 //! same rows/series the paper plots. The `figures` binary (covirt-bench)
-//! prints them; the criterion benches time their kernels.
+//! prints them.
 
 use crate::env::World;
 use crate::{hpcg, md, minife, randomaccess, selfish, stream, table1, xemem_bench};

@@ -8,9 +8,8 @@
 //!   name — every run replays the same cases (reproducible by design);
 //! * there is **no shrinking**: a failing case reports the assertion
 //!   message and case number, not a minimal counterexample;
-//! * `ProptestConfig` has a single field (`cases`), which is why the
-//!   in-tree tests spell it `ProptestConfig { cases, ..default() }` and
-//!   allow `clippy::needless_update`;
+//! * `ProptestConfig` has a single field (`cases`); the in-tree tests
+//!   build it with `ProptestConfig::with_cases(n)`, as upstream does;
 //! * string strategies accept only the `[charset]{min,max}` pattern
 //!   shape the in-tree tests use.
 //!
@@ -57,6 +56,13 @@ pub mod test_runner {
     pub struct ProptestConfig {
         /// Number of cases each `#[test]` inside `proptest!` runs.
         pub cases: u32,
+    }
+
+    impl ProptestConfig {
+        /// The default configuration with `cases` overridden.
+        pub fn with_cases(cases: u32) -> Self {
+            Self { cases }
+        }
     }
 
     impl Default for ProptestConfig {
@@ -533,7 +539,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig { cases: 8 })]
+        #![proptest_config(ProptestConfig::with_cases(8))]
 
         /// The macro itself: multiple args, tuples, map, doc comment.
         #[test]

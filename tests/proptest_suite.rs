@@ -3,10 +3,6 @@
 //! property, wire-codec roundtrips, memory-map consistency, whitelist
 //! algebra, and TLB/translation agreement.
 
-// `ProptestConfig { cases, ..default() }` is the portable spelling; the
-// offline stub's config struct has a single field, which trips this lint.
-#![allow(clippy::needless_update)]
-
 use covirt_suite::simhw::addr::{HostPhysAddr, PhysRange, PAGE_SIZE_2M, PAGE_SIZE_4K};
 use covirt_suite::simhw::memory::PhysMemory;
 use covirt_suite::simhw::paging::{DirectLoad, FramePool, GuestPageTables, Perms};
@@ -58,7 +54,7 @@ fn pt_op() -> impl Strategy<Value = PtOp> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The radix table agrees with a reference HashMap model under
     /// arbitrary interleavings of (possibly overlapping) maps and unmaps.

@@ -16,10 +16,6 @@
 //!   the backlog high water stays under the soft-cap regime even with
 //!   sustained readers in flight.
 
-// `ProptestConfig { cases, ..default() }` is the portable spelling; the
-// offline stub's config struct has a single field, which trips this lint.
-#![allow(clippy::needless_update)]
-
 use covirt_suite::simhw::addr::{PhysRange, PAGE_SIZE_4K};
 use covirt_suite::simhw::memory::{PhysMemory, RegionCache, RegionView, RETIRE_BACKLOG_SOFT_CAP};
 use covirt_suite::simhw::topology::ZoneId;
@@ -31,7 +27,7 @@ use std::sync::Arc;
 const MARKER: u64 = 0x5a5a_0000_0000_0000;
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
     fn racing_publishes_resolves_and_view_bumps_stay_coherent(

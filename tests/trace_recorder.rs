@@ -8,10 +8,6 @@
 //!   reservation index is strictly increasing (per-core monotonic order);
 //! * a lane that wrapped keeps exactly the latest `capacity` records.
 
-// `ProptestConfig { cases, ..default() }` is the portable spelling; the
-// offline stub's config struct has a single field, which trips this lint.
-#![allow(clippy::needless_update)]
-
 use covirt_trace::{EventKind, Recorder, Tracer};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,7 +33,7 @@ fn tracer_with_shared_clock(rec: &Arc<Recorder>, lane: u32, clock: &Arc<AtomicU6
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// N concurrent writer threads (one per lane) each emit M events;
     /// no record tears, the merged dump is TSC-monotonic, and each lane
@@ -147,7 +143,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// A live tailer racing one emitter (the `tail_from` cursor contract):
     /// every delivered event is whole (payload matches its reservation

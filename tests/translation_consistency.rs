@@ -4,10 +4,6 @@
 //! says, and accesses to reclaimed memory are contained, never silently
 //! wrong.
 
-// `ProptestConfig { cases, ..default() }` is the portable spelling; the
-// offline stub's config struct has a single field, which trips this lint.
-#![allow(clippy::needless_update)]
-
 use covirt_suite::covirt::config::CovirtConfig;
 use covirt_suite::covirt::{CovirtController, CovirtError, GuestCore};
 use covirt_suite::hobbes::MasterControl;
@@ -45,7 +41,7 @@ fn op() -> impl Strategy<Value = Op> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn guest_view_matches_model(ops in proptest::collection::vec(op(), 1..40)) {
